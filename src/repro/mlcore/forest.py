@@ -5,6 +5,14 @@ training data with per-node random feature subsets; prediction averages
 the trees' class-probability votes (scikit-learn's "soft voting"), which
 is what the paper's RF instantiation uses via the sklearn defaults.
 
+Trees grow on the distinct (row, label) pairs of the training set, found
+once per fit, with each tree's bootstrap draw collapsed to counts over
+them.  Users submit batches of identical jobs, which embed to identical
+rows, so a retrain window holds tens of rows per distinct pair and fit
+cost follows the distinct count.  Seeds and per-row draws come from the
+random stream exactly as for row-based growing, and the count-based
+grower is exact on integer counts, so the trees are the same.
+
 With ``splitter="hist"`` the expensive feature quantization is done once
 and shared by all trees.  Optional out-of-bag scoring estimates
 generalization without a held-out set.
@@ -29,6 +37,23 @@ from repro.parallel.executor import ExecutorConfig, parallel_map_sharded
 __all__ = ["RandomForestClassifier"]
 
 _LEAF = -1
+
+
+def _distinct_rows(X: np.ndarray, y_enc: np.ndarray, n_classes: int):
+    """One representative per distinct (row, label) pair, and each row's pair.
+
+    Returns ``(first, inverse)``: ``X[first]`` are the distinct rows and
+    ``inverse[i]`` is the pair that row ``i`` belongs to.  Rows compare by
+    their bytes, so ``-0.0`` and ``0.0`` stay apart; that only splits a
+    group in two, and the count-based grower is exact for any grouping.
+    """
+    X = np.ascontiguousarray(X)
+    rows = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
+    _, row_id = np.unique(rows, return_inverse=True)
+    _, first, inverse = np.unique(
+        row_id * n_classes + y_enc, return_index=True, return_inverse=True
+    )
+    return first, inverse
 
 
 class _PackedForest:
@@ -99,7 +124,7 @@ class RandomForestClassifier:
         trees).
     oob_score:
         If True, compute :attr:`oob_score_` — accuracy of each sample voted
-        on only by trees that did not train on it.
+        on only by trees that did not train on it.  Requires ``bootstrap``.
     splitter, n_bins, max_depth, min_samples_split, min_samples_leaf,
     criterion:
         Forwarded to the trees.
@@ -123,6 +148,8 @@ class RandomForestClassifier:
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
+        if oob_score and not bootstrap:
+            raise ValueError("oob_score=True requires bootstrap=True")
         self.n_estimators = int(n_estimators)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -154,58 +181,64 @@ class RandomForestClassifier:
         )
 
     def fit(self, X, y) -> "RandomForestClassifier":
-        """Fit all trees on bootstrap resamples."""
+        """Fit all trees on bootstrap resamples, grown on distinct rows."""
         X, y = check_X_y(X, y, dtype=np.float32)
         self.classes_, y_enc = encode_labels(y)
         n = X.shape[0]
         self.n_features_in_ = X.shape[1]
         rng = check_random_state(self.random_state)
 
+        first, inverse = _distinct_rows(X, y_enc, len(self.classes_))
+        X_distinct, y_distinct = X[first], y_enc[first]
+        n_distinct = first.size
+
         hist_cache = None
         if self.splitter == "hist":
-            q = FeatureQuantizer(self.n_bins)
-            hist_cache = (q, q.fit_transform(X))
+            # bin edges are quantiles over every row, multiplicities included
+            q = FeatureQuantizer(self.n_bins).fit(X)
+            hist_cache = (q, q.transform(X_distinct))
 
-        oob_votes = (
-            np.zeros((n, len(self.classes_)), dtype=np.float64) if self.oob_score else None
-        )
         # all randomness is drawn up front so results are identical for any
-        # n_jobs: per-tree seeds and bootstrap resamples
+        # n_jobs: per-tree seeds and per-row bootstrap resamples, each
+        # collapsed to counts over the distinct rows
         seeds = rng.integers(0, 2**31 - 1, size=self.n_estimators)
         if self.bootstrap:
-            bootstraps = [rng.integers(0, n, size=n) for _ in range(self.n_estimators)]
+            draws = [rng.integers(0, n, size=n) for _ in range(self.n_estimators)]
+            counts = [np.bincount(inverse[d], minlength=n_distinct) for d in draws]
         else:
-            bootstraps = [np.arange(n)] * self.n_estimators
+            draws = []
+            counts = [np.bincount(inverse, minlength=n_distinct)] * self.n_estimators
 
         def fit_one(t: int) -> DecisionTreeClassifier:
             tree = self._make_tree(int(seeds[t]))
-            tree.fit(X, y_enc, sample_indices=bootstraps[t], _hist_cache=hist_cache)
+            tree.fit(
+                X_distinct, y_distinct, sample_counts=counts[t], _hist_cache=hist_cache
+            )
             return tree
 
         exec_cfg = ExecutorConfig(
             backend="thread" if self.n_jobs > 1 else "serial",
             n_workers=self.n_jobs,
         )
-        # exec_cfg pins thread/serial, so the closure may share X and
-        # hist_cache by reference without crossing a process boundary
+        # exec_cfg pins thread/serial, so the closure may share the distinct
+        # rows and hist_cache by reference without crossing a process boundary
         self.estimators_ = parallel_map_sharded(
             fit_one, range(self.n_estimators), config=exec_cfg
         )
         self._packed = None  # stale after refit; rebuilt lazily on predict
 
-        if oob_votes is not None and self.bootstrap:
-            for tree, idx in zip(self.estimators_, bootstraps):
+        if self.oob_score:
+            oob_votes = np.zeros((n, len(self.classes_)), dtype=np.float64)
+            for tree, draw in zip(self.estimators_, draws):
                 mask = np.ones(n, dtype=bool)
-                mask[np.unique(idx)] = False
+                mask[draw] = False
                 if mask.any():
                     oob_votes[mask] += tree.predict_proba(X[mask])
-
-        if oob_votes is not None:
             voted = oob_votes.sum(axis=1) > 0
             if voted.any():
                 pred = np.argmax(oob_votes[voted], axis=1)
                 self.oob_score_ = float(np.mean(pred == y_enc[voted]))
-            else:  # pragma: no cover - requires tiny forests
+            else:  # every row was in every tree's bootstrap
                 self.oob_score_ = float("nan")
         return self
 

@@ -32,6 +32,8 @@ class FeatureQuantizer:
             raise ValueError("n_bins must be in [2, 256]")
         self.n_bins = int(n_bins)
         self.bin_edges_: list[np.ndarray] | None = None
+        #: distinct codes per feature, indexed by feature
+        self.n_effective_bins_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray) -> "FeatureQuantizer":
         """Compute per-feature interior edges from quantiles of ``X``."""
@@ -49,6 +51,7 @@ class FeatureQuantizer:
                 e = np.unique(np.quantile(X[:, j], qs))
             edges.append(e.astype(np.float64))
         self.bin_edges_ = edges
+        self.n_effective_bins_ = np.array([len(e) + 1 for e in edges], dtype=np.int64)
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -77,6 +80,6 @@ class FeatureQuantizer:
 
     def n_effective_bins(self, feature: int) -> int:
         """Number of distinct codes feature ``feature`` can take."""
-        if self.bin_edges_ is None:
+        if self.n_effective_bins_ is None:
             raise RuntimeError("quantizer not fitted")
-        return len(self.bin_edges_[feature]) + 1
+        return int(self.n_effective_bins_[feature])

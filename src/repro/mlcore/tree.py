@@ -18,6 +18,12 @@ Both maximize the decrease of Gini impurity (or entropy) and share the
 same vectorized scoring identity: minimizing the weighted child impurity
 is equivalent to maximizing ``sum_c L_c^2 / n_L + sum_c R_c^2 / n_R`` for
 Gini, where ``L_c``/``R_c`` are per-class child counts.
+
+A tree grows on rows weighted by integer counts, never on repeated rows:
+the forest hands each tree its bootstrap draw as counts over the distinct
+(row, label) pairs of the training set.  Every class count, node size and
+score is then a sum of integers, equal bit for bit to the row-expanded
+value, so the fitted tree is the one the repeated rows would give.
 """
 
 from __future__ import annotations
@@ -64,6 +70,27 @@ def _impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
             np.log2(p, out=logp, where=p > 0)
             out = -np.sum(p * logp, axis=-1)
     return out
+
+
+def _row_counts(n_total: int, sample_indices, sample_counts) -> np.ndarray:
+    """Integer multiplicity of every row, from indices or explicit counts."""
+    if sample_indices is not None and sample_counts is not None:
+        raise ValueError("pass sample_indices or sample_counts, not both")
+    if sample_indices is not None:
+        idx = np.asarray(sample_indices, dtype=np.int64)
+        if idx.ndim != 1 or idx.size == 0:
+            raise ValueError("sample_indices must be a non-empty 1-D array")
+        if idx.min() < 0 or idx.max() >= n_total:
+            raise ValueError("sample_indices out of range")
+        return np.bincount(idx, minlength=n_total)
+    if sample_counts is None:
+        return np.ones(n_total, dtype=np.int64)
+    counts = np.asarray(sample_counts)
+    if counts.shape != (n_total,) or not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError("sample_counts must be a 1-D integer array, one count per row")
+    if counts.min() < 0 or counts.sum() == 0:
+        raise ValueError("sample_counts must be non-negative with a positive total")
+    return counts
 
 
 class _TreeBuilder:
@@ -140,13 +167,18 @@ class DecisionTreeClassifier:
 
     # -- fitting ----------------------------------------------------------------
 
-    def fit(self, X, y, *, sample_indices=None, _hist_cache=None) -> "DecisionTreeClassifier":
-        """Grow the tree.
+    def fit(
+        self, X, y, *, sample_indices=None, sample_counts=None, _hist_cache=None
+    ) -> "DecisionTreeClassifier":
+        """Grow the tree on rows of ``X`` weighted by integer counts.
 
-        ``sample_indices`` restricts training to the given rows of ``X``
-        (with repetition — this is how the forest passes bootstrap samples
-        without copying the matrix).  ``_hist_cache`` is the forest-shared
-        ``(quantizer, codes)`` pair for the hist splitter.
+        ``sample_counts`` gives each row's multiplicity directly (the
+        forest passes its bootstrap draws this way, over the distinct rows
+        of the training set).  ``sample_indices`` lists rows with
+        repetition and is collapsed to counts.  Without either, every row
+        counts once.  ``_hist_cache`` is the forest-shared
+        ``(quantizer, codes)`` pair for the hist splitter, with one code
+        row per row of ``X``.
         """
         X, y = check_X_y(X, y, dtype=np.float32)
         self.classes_, y_enc = encode_labels(y)
@@ -155,15 +187,7 @@ class DecisionTreeClassifier:
         k = len(self.classes_)
         rng = check_random_state(self.random_state)
         m = _resolve_max_features(self.max_features, n_features)
-
-        if sample_indices is None:
-            idx0 = np.arange(n_total, dtype=np.int64)
-        else:
-            idx0 = np.asarray(sample_indices, dtype=np.int64)
-            if idx0.ndim != 1 or idx0.size == 0:
-                raise ValueError("sample_indices must be a non-empty 1-D array")
-            if idx0.min() < 0 or idx0.max() >= n_total:
-                raise ValueError("sample_indices out of range")
+        row_counts = _row_counts(n_total, sample_indices, sample_counts)
 
         quantizer: FeatureQuantizer | None = None
         codes: np.ndarray | None = None
@@ -178,15 +202,22 @@ class DecisionTreeClassifier:
         importances = np.zeros(n_features, dtype=np.float64)
         max_depth = self.max_depth if self.max_depth is not None else np.inf
 
-        root_counts = np.bincount(y_enc[idx0], minlength=k)
+        # a node holds distinct rows ``idx`` with counts ``w``; class counts,
+        # node sizes and criterion scores are count sums, which equal the
+        # row-expanded values exactly because the counts are integers
+        idx0 = np.flatnonzero(row_counts)
+        w0 = row_counts[idx0].astype(np.float64)
+        root_counts = np.bincount(y_enc[idx0], weights=w0, minlength=k)
         root = builder.add_node(root_counts)
-        stack: list[tuple[int, np.ndarray, int]] = [(root, idx0, 0)]
+        root_imp = _impurity(root_counts[None, :], self.criterion)[0]
+        stack: list[tuple[int, np.ndarray, np.ndarray, int, float]] = [
+            (root, idx0, w0, 0, root_imp)
+        ]
 
         while stack:
-            node, idx, depth = stack.pop()
+            node, idx, w, depth, node_imp = stack.pop()
             counts = builder.counts[node]
-            n_node = idx.size
-            node_imp = _impurity(counts[None, :], self.criterion)[0]
+            n_node = counts.sum()
             if (
                 depth >= max_depth
                 or n_node < self.min_samples_split
@@ -200,28 +231,32 @@ class DecisionTreeClassifier:
                 else rng.choice(n_features, size=m, replace=False)
             )
             if self.splitter == "exact":
-                best = self._best_split_exact(X, y_enc, idx, features, k)
+                best = self._best_split_exact(X, y_enc, idx, w, node_imp, features, k)
             else:
-                best = self._best_split_hist(codes, quantizer, y_enc, idx, features, k)
+                best = self._best_split_hist(
+                    codes, quantizer, y_enc, idx, w, node_imp, features, k
+                )
             if best is None:
                 continue
             feature, threshold, gain, left_mask = best
             if gain <= 1e-12:
                 continue
 
-            left_idx = idx[left_mask]
-            right_idx = idx[~left_mask]
-            left_counts = np.bincount(y_enc[left_idx], minlength=k)
+            left_idx, left_w = idx[left_mask], w[left_mask]
+            right_idx, right_w = idx[~left_mask], w[~left_mask]
+            left_counts = np.bincount(y_enc[left_idx], weights=left_w, minlength=k)
             right_counts = counts - left_counts
             left_node = builder.add_node(left_counts)
             right_node = builder.add_node(right_counts)
             builder.make_internal(node, int(feature), float(threshold), left_node, right_node)
-            importances[feature] += n_node * node_imp - (
-                left_idx.size * _impurity(left_counts[None, :], self.criterion)[0]
-                + right_idx.size * _impurity(right_counts[None, :], self.criterion)[0]
+            left_imp, right_imp = _impurity(
+                np.stack([left_counts, right_counts]), self.criterion
             )
-            stack.append((left_node, left_idx, depth + 1))
-            stack.append((right_node, right_idx, depth + 1))
+            importances[feature] += n_node * node_imp - (
+                left_counts.sum() * left_imp + right_counts.sum() * right_imp
+            )
+            stack.append((left_node, left_idx, left_w, depth + 1, left_imp))
+            stack.append((right_node, right_idx, right_w, depth + 1, right_imp))
 
         self.feature_ = np.array(builder.feature, dtype=np.int64)
         self.threshold_ = np.array(builder.threshold, dtype=np.float64)
@@ -234,51 +269,55 @@ class DecisionTreeClassifier:
 
     # -- split finders ----------------------------------------------------------
     #
-    # Both finders score *blocks* of candidate features in one vectorized
-    # pass: the per-position class counts come from a single cumulative sum
-    # over a (n, block, k) one-hot (exact) or a (block, bins, k) histogram
-    # (hist), and the criterion curve for every (feature, threshold) pair
-    # of the block is materialized at once.  Block sizes are chosen so the
-    # cumulative-count workspace stays bounded; iterating blocks in feature
-    # order with a strict ">" keeps the tie-breaking of the historical
-    # per-feature loop (first feature with the best rank wins).  The
-    # pre-vectorization per-feature scans are preserved in
-    # :mod:`repro.mlcore.reference` and pinned by the equivalence tests.
+    # Both finders take a node as distinct rows ``idx`` with float64 counts
+    # ``w`` plus its impurity, and score *blocks* of candidate features in
+    # one vectorized pass: the per-position class counts come from a single
+    # cumulative sum over a count-weighted (n, block, k) one-hot (exact) or
+    # a count-weighted (k, block, bins) histogram (hist), and the criterion
+    # curve for every (feature, threshold) pair of the block is
+    # materialized at once.  Block sizes are chosen so the cumulative-count
+    # workspace stays bounded; iterating blocks in feature order with a
+    # strict ">" keeps the tie-breaking of the historical per-feature loop
+    # (first feature with the best rank wins).  Counts are integers, so at every boundary
+    # between distinct values the class counts, child sizes and scores
+    # equal those of the row-expanded node bit for bit.  The row-based
+    # per-feature scans are preserved in :mod:`repro.mlcore.reference` and
+    # pinned by the equivalence tests.
 
     #: element budget for a split-finder block workspace (~32 MB of float64)
     _SPLIT_BLOCK_ELEMS = 1 << 22
 
-    def _best_split_exact(self, X, y_enc, idx, features, k):
+    def _best_split_exact(self, X, y_enc, idx, w, parent_imp, features, k):
         """Sort-based scan, vectorized over feature blocks.
 
         Returns (feature, threshold, gain, left_mask) or None.
         """
-        n = idx.size
+        n_rows = idx.size
+        n = w.sum()
         min_leaf = self.min_samples_leaf
         y_node = y_enc[idx]
-        parent_imp = _impurity(np.bincount(y_node, minlength=k)[None, :], self.criterion)[0]
         best_score = -np.inf
         best = None
-        n_l = np.arange(1, n, dtype=np.float64)[:, None]  # split after i => n_l = i+1
-        n_r = n - n_l
         features = np.asarray(features)
-        block = max(1, self._SPLIT_BLOCK_ELEMS // max(1, n * k))
-        rows = np.arange(n)[:, None]
+        block = max(1, self._SPLIT_BLOCK_ELEMS // max(1, n_rows * k))
+        rows = np.arange(n_rows)[:, None]
         for lo in range(0, features.size, block):
             feats = features[lo : lo + block]
             m = feats.size
-            Xb = X[np.ix_(idx, feats)].astype(np.float64)  # (n, m)
+            Xb = X[idx[:, None], feats].astype(np.float64)  # (n_rows, m)
             order = np.argsort(Xb, axis=0, kind="stable")
             xs = np.take_along_axis(Xb, order, axis=0)
-            ys = y_node[order]  # (n, m)
-            # cum[i, j, c]: count of class c among the first i+1 samples
+            ws = w[order]  # (n_rows, m)
+            # cum[i, j, c]: count of class c among the first i+1 rows
             # sorted by feature j
-            onehot = np.zeros((n, m, k), dtype=np.float64)
-            onehot[rows, np.arange(m)[None, :], ys] = 1.0
+            onehot = np.zeros((n_rows, m, k), dtype=np.float64)
+            onehot[rows, np.arange(m)[None, :], y_node[order]] = ws
             cum = np.cumsum(onehot, axis=0)
-            L = cum[:-1]  # (n-1, m, k)
+            L = cum[:-1]  # (n_rows-1, m, k)
             R = cum[-1][None, :, :] - L
-            valid = xs[:-1] < xs[1:]  # (n-1, m)
+            n_l = np.cumsum(ws, axis=0)[:-1]  # (n_rows-1, m)
+            n_r = n - n_l
+            valid = xs[:-1] < xs[1:]  # (n_rows-1, m)
             if min_leaf > 1:
                 valid &= (n_l >= min_leaf) & (n_r >= min_leaf)
             if self.criterion == "gini":
@@ -306,49 +345,54 @@ class DecisionTreeClassifier:
                 best = (int(feats[j_rel]), float(threshold), gain, left_mask)
         return best
 
-    def _best_split_hist(self, codes, quantizer, y_enc, idx, features, k):
+    def _best_split_hist(self, codes, quantizer, y_enc, idx, w, parent_imp, features, k):
         """Histogram scan, vectorized over feature blocks.
 
         Returns (feature, threshold, gain, left_mask) or None.
         """
-        n = idx.size
+        n_rows = idx.size
+        n = w.sum()
         min_leaf = max(1, self.min_samples_leaf)
         y_node = y_enc[idx]
-        parent_counts = np.bincount(y_node, minlength=k)
-        parent_imp = _impurity(parent_counts[None, :], self.criterion)[0]
         best_score = -np.inf
         best = None
         features = np.asarray(features)
-        n_bins = np.array([quantizer.n_effective_bins(int(j)) for j in features])
-        B = int(n_bins.max(initial=0))
+        B = int(quantizer.n_effective_bins_[features].max(initial=0))
         if B < 2:
             return None  # no feature has two distinct codes
-        block = max(1, self._SPLIT_BLOCK_ELEMS // max(1, n))
+        block = max(1, self._SPLIT_BLOCK_ELEMS // max(1, n_rows))
         for lo in range(0, features.size, block):
             feats = features[lo : lo + block]
             m = feats.size
-            c = codes[np.ix_(idx, feats)].astype(np.int64)  # (n, m)
-            # one shared bincount over (feature, bin, class) cells
-            cell = (np.arange(m) * B)[None, :] * k + c * k + y_node[:, None]
-            hist = np.bincount(cell.ravel(), minlength=m * B * k).reshape(m, B, k)
-            cum = np.cumsum(hist, axis=1).astype(np.float64)
+            c = codes[idx[:, None], feats]  # (n_rows, m) uint8
+            # one shared count-weighted bincount over class-major
+            # (class, feature, bin) cells, so per-class sums are slab adds;
+            # they add integer counts, which is exact in any order
+            cell = c + ((np.arange(m) * B)[None, :] + (y_node * (m * B))[:, None])
+            hist = np.bincount(
+                cell.ravel(), weights=np.repeat(w, m), minlength=k * m * B
+            ).reshape(k, m, B)
+            cum = np.cumsum(hist, axis=2)
             # split "code <= b" for b = 0 .. B-2; candidates at or beyond a
             # feature's own bin count leave the right child empty and are
             # rejected by the min-leaf constraint below
-            L = cum[:, :-1, :]  # (m, B-1, k)
-            n_l = L.sum(axis=2)
+            L = cum[:, :, :-1]  # (k, m, B-1)
+            R = cum[:, :, -1:] - L
+            n_l = L.sum(axis=0)  # (m, B-1)
             n_r = n - n_l
             valid = (n_l >= min_leaf) & (n_r >= min_leaf)
-            R = cum[:, -1, :][:, None, :] - L
             with np.errstate(invalid="ignore", divide="ignore"):
                 if self.criterion == "gini":
-                    score = (L * L).sum(axis=2) / n_l + (R * R).sum(axis=2) / n_r
+                    score = (L * L).sum(axis=0) / n_l + (R * R).sum(axis=0) / n_r
                     score = np.where(valid, score, -np.inf)
                     pos = np.argmax(score, axis=1)  # (m,)
                     child_imp = (n - score[np.arange(m), pos]) / n
                 else:
-                    imp_l = _impurity(L, self.criterion)
-                    imp_r = _impurity(R, self.criterion)
+                    # class-last layout: the same float sums as the row path
+                    L_last = np.ascontiguousarray(np.moveaxis(L, 0, -1))
+                    R_last = np.ascontiguousarray(np.moveaxis(R, 0, -1))
+                    imp_l = _impurity(L_last, self.criterion)
+                    imp_r = _impurity(R_last, self.criterion)
                     weighted = (n_l * imp_l + n_r * imp_r) / n
                     weighted = np.where(valid, weighted, np.inf)
                     pos = np.argmin(weighted, axis=1)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.mlcore.forest import RandomForestClassifier
+from repro.mlcore.histogram import FeatureQuantizer
 from repro.mlcore.kdtree import KDTree
 from repro.mlcore.knn import KNeighborsClassifier
 from repro.mlcore.reference import (
@@ -21,7 +22,7 @@ from repro.mlcore.reference import (
     kdtree_query_scalar,
     tree_predict_proba_scalar,
 )
-from repro.mlcore.tree import DecisionTreeClassifier
+from repro.mlcore.tree import DecisionTreeClassifier, _impurity
 
 
 def lattice(rng, n, d, span=5):
@@ -113,7 +114,110 @@ class TestNeighborEquivalence:
         np.testing.assert_allclose(d_b, d_k, rtol=1e-12, atol=1e-12)
 
 
+def on_expanded_rows(oracle, clf):
+    """Adapt a row-based split oracle to the count-based finder signature.
+
+    The oracle runs on the row-expanded node ``np.repeat(idx, counts)``
+    and computes the parent impurity itself; copies of one row share a
+    routing decision, so the left mask maps back to the distinct rows
+    through each row's first copy.
+    """
+
+    def finder(*args):
+        *data, idx, w, _parent_imp, features, k = args
+        reps = w.astype(np.int64)
+        best = oracle(clf, *data, np.repeat(idx, reps), features, k)
+        if best is None:
+            return None
+        feature, threshold, gain, left_mask = best
+        first_copy = np.cumsum(reps) - reps
+        assert np.array_equal(left_mask, np.repeat(left_mask[first_copy], reps))
+        return feature, threshold, gain, left_mask[first_copy]
+
+    return finder
+
+
+def duplicate_heavy_node(seed):
+    """Distinct rows repeated 10-100x; some identical rows carry both labels.
+
+    Returns ``(X, y, counts)`` over distinct (row, label) pairs: rows
+    ``X[i]`` may coincide (the both-labels pairs) and feature 1 takes few
+    values, so ties occur across different rows too.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(30, 6)).astype(np.float32)
+    base[:, 1] = np.round(base[:, 1])
+    y = (base[:, 0] + base[:, 2] > 0).astype(np.int64)
+    both = np.arange(0, 30, 3)  # these rows also appear with the other label
+    X = np.concatenate([base, base[both]])
+    y = np.concatenate([y, 1 - y[both]])
+    counts = rng.integers(10, 101, size=X.shape[0])
+    return X, y, counts
+
+
 class TestSplitFinderEquivalence:
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("splitter", ["exact", "hist"])
+    def test_count_weighted_finders_match_row_oracles(
+        self, splitter, criterion, min_leaf
+    ):
+        X, y, counts = duplicate_heavy_node(41)
+        clf = DecisionTreeClassifier(
+            min_samples_leaf=min_leaf, criterion=criterion, splitter=splitter
+        )
+        if splitter == "exact":
+            data = (X, y)
+            fast, oracle = clf._best_split_exact, best_split_exact_scalar
+        else:
+            q = FeatureQuantizer(12).fit(np.repeat(X, counts, axis=0))
+            data = (q.transform(X), q, y)
+            fast, oracle = clf._best_split_hist, best_split_hist_scalar
+        rng = np.random.default_rng(min_leaf)
+        found = 0
+        for _ in range(25):
+            idx = np.sort(rng.choice(X.shape[0], size=rng.integers(2, 41), replace=False))
+            w = counts[idx].astype(np.float64)
+            if rng.random() < 0.3:  # tiny counts reach the min-leaf limit
+                w = np.minimum(w, rng.integers(1, 3, size=idx.size))
+            features = rng.choice(6, size=rng.integers(1, 7), replace=False)
+            parent = _impurity(np.bincount(y[idx], weights=w, minlength=2)[None], criterion)
+            got = fast(*data, idx, w, parent[0], features, 2)
+            want = on_expanded_rows(oracle, clf)(*data, idx, w, parent[0], features, 2)
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            found += 1
+            assert got[:3] == want[:3]  # feature, threshold, gain: exactly
+            assert np.array_equal(got[3], want[3])
+        assert found > 10
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("splitter", ["exact", "hist"])
+    def test_tree_on_counts_matches_tree_on_rows(self, splitter, criterion, min_leaf):
+        X, y, counts = duplicate_heavy_node(43)
+        rows = np.repeat(np.arange(X.shape[0]), counts)
+        q = FeatureQuantizer(12).fit(X[rows])
+
+        def make():
+            return DecisionTreeClassifier(
+                max_depth=8,
+                min_samples_leaf=min_leaf,
+                max_features=3,
+                criterion=criterion,
+                splitter=splitter,
+                random_state=2,
+            )
+
+        on_counts = make().fit(X, y, sample_counts=counts, _hist_cache=(q, q.transform(X)))
+        on_rows = make().fit(X[rows], y[rows], _hist_cache=(q, q.transform(X[rows])))
+        for attr in ("feature_", "children_left_", "children_right_", "value_"):
+            assert np.array_equal(getattr(on_counts, attr), getattr(on_rows, attr))
+        assert np.array_equal(on_counts.threshold_, on_rows.threshold_, equal_nan=True)
+        assert np.array_equal(on_counts.feature_importances_, on_rows.feature_importances_)
+        assert on_counts.n_nodes > 5
+
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
     @pytest.mark.parametrize("splitter", ["exact", "hist"])
     def test_fit_identical_with_per_feature_reference(
@@ -138,14 +242,10 @@ class TestSplitFinderEquivalence:
         fast = make().fit(X, y)
         ref = make()
         monkeypatch.setattr(
-            ref,
-            "_best_split_exact",
-            lambda *args: best_split_exact_scalar(ref, *args),
+            ref, "_best_split_exact", on_expanded_rows(best_split_exact_scalar, ref)
         )
         monkeypatch.setattr(
-            ref,
-            "_best_split_hist",
-            lambda *args: best_split_hist_scalar(ref, *args),
+            ref, "_best_split_hist", on_expanded_rows(best_split_hist_scalar, ref)
         )
         ref.fit(X, y)
 

@@ -92,6 +92,41 @@ class TestOOB:
         f = RandomForestClassifier(3, random_state=0).fit(X, y)
         assert not hasattr(f, "oob_score_")
 
+    def test_oob_without_bootstrap_rejected(self):
+        # without bootstrap every tree sees every row, so no row is out of bag
+        with pytest.raises(ValueError, match="oob_score=True requires bootstrap=True"):
+            RandomForestClassifier(5, oob_score=True, bootstrap=False)
+
+    def test_oob_nan_when_every_row_is_in_bag(self):
+        X, y = np.array([[0.0], [1.0]]), np.array([0, 1])
+        # seed 5 draws both rows into the single tree's bootstrap
+        f = RandomForestClassifier(1, oob_score=True, random_state=5).fit(X, y)
+        assert f.estimators_[0].value_[0].tolist() == [1.0, 1.0]
+        assert np.isnan(f.oob_score_)
+
+
+class TestDistinctRows:
+    def test_pairs_split_by_label_and_bytes(self):
+        from repro.mlcore.forest import _distinct_rows
+
+        X = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [0.0, 0.0], [-0.0, 0.0]])
+        y = np.array([0, 0, 1, 0, 0])
+        first, inverse = _distinct_rows(X.astype(np.float32), y, 2)
+        # the three (1, 2) rows form two pairs (by label); -0.0 stays apart
+        assert first.size == 4
+        assert inverse[0] == inverse[1] != inverse[2]
+        assert inverse[3] != inverse[4]
+        assert np.array_equal(y[first][inverse], y)
+        assert np.array_equal(X[first][inverse], X)
+
+    def test_trees_see_bootstrap_counts_of_every_row(self):
+        rng = np.random.default_rng(4)
+        X = np.repeat(rng.normal(size=(12, 3)), 25, axis=0)
+        y = (X[:, 0] > 0).astype(int)
+        f = RandomForestClassifier(4, random_state=0).fit(X, y)
+        for t in f.estimators_:
+            assert t.value_[0].sum() == len(y)  # n draws over 12 distinct rows
+
 
 class TestImportances:
     def test_informative_features_dominate(self):

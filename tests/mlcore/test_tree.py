@@ -152,6 +152,49 @@ class TestSampleIndices:
             DecisionTreeClassifier().fit(X, y, sample_indices=np.array([], dtype=int))
 
 
+class TestSampleCounts:
+    def test_counts_match_repeated_indices(self, splitter):
+        X, y = simple_data(120)
+        idx = np.random.default_rng(1).integers(0, 120, size=120)
+        by_idx = DecisionTreeClassifier(splitter=splitter, random_state=0).fit(
+            X, y, sample_indices=idx
+        )
+        by_counts = DecisionTreeClassifier(splitter=splitter, random_state=0).fit(
+            X, y, sample_counts=np.bincount(idx, minlength=120)
+        )
+        assert np.array_equal(by_idx.feature_, by_counts.feature_)
+        assert np.array_equal(by_idx.value_, by_counts.value_)
+        assert np.array_equal(by_idx.threshold_, by_counts.threshold_, equal_nan=True)
+
+    def test_zero_counts_exclude_rows(self):
+        X, y = simple_data(100)
+        counts = np.zeros(100, dtype=int)
+        counts[:40] = 3
+        t = DecisionTreeClassifier(random_state=0).fit(X, y, sample_counts=counts)
+        assert t.value_[0].sum() == 120
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.ones(9, dtype=int),  # wrong length
+            np.ones(10),  # not integers
+            np.full(10, -1),
+            np.zeros(10, dtype=int),
+        ],
+    )
+    def test_invalid_counts_rejected(self, counts):
+        X, y = simple_data(10)
+        with pytest.raises(ValueError):
+            DecisionTreeClassifier().fit(X, y, sample_counts=counts)
+
+    def test_indices_and_counts_exclusive(self):
+        X, y = simple_data(10)
+        with pytest.raises(ValueError, match="not both"):
+            DecisionTreeClassifier().fit(
+                X, y, sample_indices=np.arange(10), sample_counts=np.ones(10, dtype=int)
+            )
+
+
 class TestPrediction:
     def test_predict_proba_rows_sum_to_one(self, splitter):
         X, y = simple_data()
